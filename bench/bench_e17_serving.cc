@@ -19,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -241,6 +242,88 @@ void BM_ServingBatchEffect(benchmark::State& state) {
   reg.GetGauge("bench.e17.batch.identical")->Set(identical ? 1.0 : 0.0);
 }
 
+// The dispersed ablation: 64 *unique* scattered 50x50 selects (cache
+// off), so dedup cannot hide what the shared walk costs. Reports the
+// broker's batched vs unbatched wall time per wave (benchmark counters
+// only: wall time is for humans, not the gate) and the R-tree nodes the
+// two modes visit, summed over the wave (gauges: deterministic, so the
+// CI gate asserts batched <= unbatched and identical results).
+void BM_ServingBatchDispersed(benchmark::State& state) {
+  constexpr size_t kRequests = 64;
+  constexpr int kWaves = 200;  // per mode; one wave takes ~0.1 ms
+  eea::strabon::GeoStore& store = ServingStore();
+
+  double batched_ms = 0.0;
+  double unbatched_ms = 0.0;
+  uint64_t batched_nodes = 0;
+  uint64_t unbatched_nodes = 0;
+  bool identical = true;
+  for (auto _ : state) {
+    eea::common::Rng rng(eea::bench::SeedFlag() + 1);
+    std::vector<eea::serve::Offered> wave;
+    std::vector<eea::strabon::BatchSelectQuery> queries;
+    for (size_t i = 0; i < kRequests; ++i) {
+      const double x = rng.UniformDouble(0.0, kWorldSize - 50.0);
+      const double y = rng.UniformDouble(0.0, kWorldSize - 50.0);
+      const eea::geo::Box box{x, y, x + 50.0, y + 50.0};
+      wave.push_back({0, Request::SpatialSelect(box)});
+      queries.push_back({box, eea::strabon::SpatialRelation::kIntersects});
+    }
+    auto run_mode = [&](bool batching, double* ms) {
+      BrokerOptions opt;
+      opt.enable_batching = batching;
+      opt.cache_capacity = 0;  // every request must execute
+      QueryBroker broker(opt);
+      broker.set_store(&store);
+      TenantOptions t;
+      t.quota_rps = 1e9;  // no shed: this row isolates the batching effect
+      t.quota_burst = 1e6;
+      broker.RegisterTenant("ablation", t);
+      std::vector<eea::serve::Response> responses;
+      const auto start = std::chrono::steady_clock::now();
+      for (int w = 0; w < kWaves; ++w) {
+        responses = broker.ExecuteWave(wave, 1000 * (w + 1));
+      }
+      *ms += std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start)
+                 .count() /
+             kWaves;
+      return responses;
+    };
+    auto batched = run_mode(true, &batched_ms);
+    auto unbatched = run_mode(false, &unbatched_ms);
+    for (size_t i = 0; i < kRequests; ++i) {
+      if (!batched[i].status.ok() || batched[i].ids != unbatched[i].ids) {
+        identical = false;
+      }
+    }
+    eea::strabon::SpatialQueryStats bstats;
+    if (!store.SpatialSelectBatch(queries, &bstats).ok()) identical = false;
+    batched_nodes += bstats.nodes_visited;
+    for (const auto& q : queries) {
+      eea::strabon::SpatialQueryStats sstats;
+      if (!store.SpatialSelect(q.box, q.relation, true, &sstats).ok()) {
+        identical = false;
+      }
+      unbatched_nodes += sstats.nodes_visited;
+    }
+    benchmark::DoNotOptimize(batched.data());
+  }
+  state.counters["requests"] = static_cast<double>(kRequests);
+  state.counters["batched_ms_per_wave"] = batched_ms;
+  state.counters["unbatched_ms_per_wave"] = unbatched_ms;
+  state.counters["nodes_batched"] = static_cast<double>(batched_nodes);
+  state.counters["nodes_unbatched"] = static_cast<double>(unbatched_nodes);
+  state.counters["identical"] = identical ? 1.0 : 0.0;
+  auto& reg = eea::common::MetricsRegistry::Default();
+  reg.GetGauge("bench.e17.batch.dispersed.nodes_batched")
+      ->Set(static_cast<double>(batched_nodes));
+  reg.GetGauge("bench.e17.batch.dispersed.nodes_unbatched")
+      ->Set(static_cast<double>(unbatched_nodes));
+  reg.GetGauge("bench.e17.batch.dispersed.identical")
+      ->Set(identical ? 1.0 : 0.0);
+}
+
 }  // namespace
 
 BENCHMARK(BM_ServingClosedLoop)
@@ -260,6 +343,10 @@ BENCHMARK(BM_ServingOpenLoop)
 
 BENCHMARK(BM_ServingBatchEffect)
     ->Iterations(1)  // fixed: keeps traversal counters reproducible
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_ServingBatchDispersed)
+    ->Iterations(1)  // fixed: keeps node and serve.* counters reproducible
     ->Unit(benchmark::kMillisecond);
 
 // main() comes from bench_main.cc (adds --smoke, --seed and the

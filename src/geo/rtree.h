@@ -13,7 +13,9 @@
 //     FlatNodes with children addressed by index, and all leaf entries
 //     into a second contiguous array. Queries over the frozen form are
 //     allocation-free and touch cache lines sequentially; the templated
-//     VisitWith avoids the std::function indirection per node.
+//     VisitWith avoids the std::function indirection per node, and
+//     VisitLeavesMulti answers up to 64 boxes in one walk that prunes
+//     members per node (cross-request batching).
 // Insert invalidates the frozen form; Freeze() rebuilds it.
 
 #ifndef EXEARTH_GEO_RTREE_H_
@@ -212,6 +214,92 @@ class RTree {
           const int c = std::countr_zero(mask);
           mask &= mask - 1;
           stack[top++] = node.first + static_cast<uint32_t>(c);
+        }
+      }
+    }
+    if (stats != nullptr) stats->nodes_visited += visited;
+  }
+
+  /// Most boxes one VisitLeavesMulti walk carries: one bit each in the
+  /// active-member masks.
+  static constexpr size_t kMaxQueries = 64;
+
+  /// Multi-query form of VisitLeavesWith: ONE walk answers up to
+  /// kMaxQueries boxes `queries[0, n)`. The walk pushes (node, active-
+  /// member bitmask) pairs; at an internal node the SoA envelope kernel
+  /// runs once per *active* member over the children's slice, and a child
+  /// is pushed only with the members whose box reaches it. So each member
+  /// touches exactly its own subtree, while nodes shared by several
+  /// members are fetched once per walk instead of once per member. At a
+  /// leaf the visitor is called once per active member with a non-zero
+  /// entry mask, members ascending:
+  ///   visitor(member, entries, first, count, mask) -> bool
+  /// with the same (entries, first, count, mask) meaning as in
+  /// VisitLeavesWith. Restricted to one member, the calls arrive in the
+  /// order VisitLeavesWith(queries[member]) makes them, with equal masks.
+  /// `stats` counts the nodes this walk popped (each at most once), which
+  /// never exceeds the sum over members of their single-query counts.
+  /// Return false from the visitor to stop the whole walk. Frozen trees
+  /// only.
+  template <typename LeafVisitor>
+  void VisitLeavesMulti(const Box* queries, size_t n, LeafVisitor&& visitor,
+                        TraversalStats* stats = nullptr) const {
+    assert(frozen_ && "VisitLeavesMulti requires a frozen tree");
+    assert(n <= kMaxQueries);
+    if (flat_nodes_.empty() || n == 0) return;
+    const simd::KernelTable& kern = simd::Kernels();
+    uint32_t node_stack[32 * kMaxEntries];
+    uint64_t member_stack[32 * kMaxEntries];
+    size_t top = 0;
+    uint64_t root_members = 0;
+    for (size_t j = 0; j < n; ++j) {
+      if (flat_nodes_[0].box.Intersects(queries[j])) {
+        root_members |= uint64_t{1} << j;
+      }
+    }
+    node_stack[top] = 0;
+    member_stack[top++] = root_members;
+    size_t visited = 0;
+    while (top > 0) {
+      --top;
+      const FlatNode& node = flat_nodes_[node_stack[top]];
+      uint64_t active = member_stack[top];
+      ++visited;
+      if (node.leaf != 0) {
+        const simd::EnvelopeSpan slice =
+            entry_env_.Slice(node.first, node.count);
+        const Entry* entries = flat_entries_.data() + node.first;
+        while (active != 0) {
+          const int j = std::countr_zero(active);
+          active &= active - 1;
+          const uint64_t mask = kern.envelope_intersects(queries[j], slice);
+          if (mask != 0 && !visitor(static_cast<size_t>(j), entries,
+                                    node.first, node.count, mask)) {
+            if (stats != nullptr) stats->nodes_visited += visited;
+            return;
+          }
+        }
+      } else if (active != 0) {
+        // Transpose the per-member child masks into per-child member
+        // masks, then push children ascending as the single-query walk
+        // does.
+        const simd::EnvelopeSpan slice =
+            node_env_.Slice(node.first, node.count);
+        uint64_t reach[kMaxEntries] = {};
+        while (active != 0) {
+          const int j = std::countr_zero(active);
+          active &= active - 1;
+          uint64_t m = kern.envelope_intersects(queries[j], slice);
+          while (m != 0) {
+            const int c = std::countr_zero(m);
+            m &= m - 1;
+            reach[c] |= uint64_t{1} << j;
+          }
+        }
+        for (uint16_t c = 0; c < node.count; ++c) {
+          if (reach[c] == 0) continue;
+          node_stack[top] = node.first + c;
+          member_stack[top++] = reach[c];
         }
       }
     }

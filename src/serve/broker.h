@@ -19,8 +19,10 @@
 //                  reads, ever). Tenants never share entries.
 //   * batch      — cross-request batching: concurrent SpatialSelects
 //                  against the same frozen R-tree are grouped and answered
-//                  by ONE shared traversal (GeoStore::SpatialSelectBatch)
-//                  with per-request result demux. Under the threaded
+//                  by one multi-query R-tree walk per group
+//                  (GeoStore::SpatialSelectBatch): each member descends
+//                  only into its own subtree, nodes shared by members are
+//                  fetched once. Under the threaded
 //                  Execute() API groups form leader/follower style inside
 //                  a small window; under the deterministic ExecuteWave()
 //                  API the whole wave is grouped at once.

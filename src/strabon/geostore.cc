@@ -629,13 +629,17 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
   // Deduplicate identical (box, relation) members: N identical concurrent
   // selections refine once and fan the result out. Batches are broker-
   // sized (tens to a few hundred members), so the linear scan is cheap.
+  // A unique member's result is built in the slot of its first
+  // occurrence and copied to its duplicates at the end.
   auto same = [](const BatchSelectQuery& a, const BatchSelectQuery& b) {
     return a.relation == b.relation && a.box.min_x == b.box.min_x &&
            a.box.min_y == b.box.min_y && a.box.max_x == b.box.max_x &&
            a.box.max_y == b.box.max_y;
   };
   std::vector<BatchSelectQuery> unique;
-  std::vector<size_t> unique_of(queries.size());
+  std::vector<geo::Box> boxes;                  // unique[j].box, for the walk
+  std::vector<size_t> first_slot;               // per unique member
+  std::vector<size_t> slot_of(queries.size());  // per query slot
   unique.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     size_t u = unique.size();
@@ -645,94 +649,93 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
         break;
       }
     }
-    if (u == unique.size()) unique.push_back(queries[i]);
-    unique_of[i] = u;
+    if (u == unique.size()) {
+      unique.push_back(queries[i]);
+      boxes.push_back(queries[i].box);
+      first_slot.push_back(i);
+    }
+    slot_of[i] = first_slot[u];
   }
+  const size_t num_unique = unique.size();
 
-  // ONE shared traversal over the union of the query boxes, demuxing each
-  // touched leaf to the members whose own box it intersects. Candidates
-  // per unique query are exactly the entries that query's own traversal
-  // would have collected: a member's intersection mask over a leaf slice
-  // is a subset of the union-box hit mask (member box inside ubox), so
-  // testing the member's box directly both demuxes and prunes. Only the
-  // candidate order differs from a solo traversal, which the final sort
-  // erases. The relation's envelope fast-path verdict rides along in
-  // kFastBit exactly as in the single-query probe.
-  geo::Box ubox = unique[0].box;
-  for (size_t j = 1; j < unique.size(); ++j) {
-    ubox.min_x = std::min(ubox.min_x, unique[j].box.min_x);
-    ubox.min_y = std::min(ubox.min_y, unique[j].box.min_y);
-    ubox.max_x = std::max(ubox.max_x, unique[j].box.max_x);
-    ubox.max_y = std::max(ubox.max_y, unique[j].box.max_y);
-  }
+  // One multi-query walk per block of RTree::kMaxQueries unique members
+  // (a broker group of up to 64 is one walk): each member descends only
+  // into nodes its own box reaches, so its candidates — and their leaf
+  // order — are exactly its solo probe's. The relation's envelope
+  // fast-path verdict rides along in kFastBit as in the single-query
+  // probe.
   const simd::KernelTable& kern = simd::Kernels();
-  std::vector<std::vector<uint32_t>> cand(unique.size());
+  std::vector<std::vector<uint32_t>> cand(num_unique);
   {
     common::TraceSpan probe_span("batch_index_probe");
     common::ScopedLatencyTimer probe_timer(metrics.probe_latency_us);
-    metrics.index_probes->Increment();
-    metrics.select_traversals->Increment();
     geo::RTree::TraversalStats tstats;
     const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
-    rtree_.VisitLeavesWith(
-        ubox,
-        [&](const geo::RTree::Entry* es, uint32_t first, uint16_t count,
-            uint64_t /*union_hits*/) {
-          const simd::EnvelopeSpan slice = eenv.Slice(first, count);
-          for (size_t j = 0; j < unique.size(); ++j) {
-            uint64_t m = kern.envelope_intersects(unique[j].box, slice);
-            if (m == 0) continue;
+    for (size_t base = 0; base < num_unique; base += geo::RTree::kMaxQueries) {
+      metrics.index_probes->Increment();
+      metrics.select_traversals->Increment();
+      rtree_.VisitLeavesMulti(
+          boxes.data() + base,
+          std::min(geo::RTree::kMaxQueries, num_unique - base),
+          [&](size_t member, const geo::RTree::Entry* es, uint32_t first,
+              uint16_t count, uint64_t hits) {
+            const size_t j = base + member;
+            const simd::EnvelopeSpan slice = eenv.Slice(first, count);
             const uint64_t fast =
                 unique[j].relation == SpatialRelation::kContains
                     ? kern.envelope_contains_query(unique[j].box, slice)
                     : kern.query_contains_envelope(unique[j].box, slice);
-            while (m != 0) {
-              const int i = std::countr_zero(m);
-              m &= m - 1;
-              cand[j].push_back(static_cast<uint32_t>(es[i].id) |
-                                (((fast >> i) & 1) != 0 ? kFastBit : 0u));
+            std::vector<uint32_t>& cs = cand[j];
+            while (hits != 0) {
+              const int i = std::countr_zero(hits);
+              hits &= hits - 1;
+              cs.push_back(static_cast<uint32_t>(es[i].id) |
+                           (((fast >> i) & 1) != 0 ? kFastBit : 0u));
             }
-          }
-          return true;
-        },
-        &tstats);
+            return true;
+          },
+          &tstats);
+    }
     stats.nodes_visited = tstats.nodes_visited;
   }
 
-  // Per-unique-query refinement (chunked across the pool exactly like the
-  // single-query path); results land in every member slot that mapped to
-  // the unique query. A fired deadline/cancel aborts the whole batch.
-  std::vector<std::vector<uint64_t>> unique_out(unique.size());
-  const bool guarded = !rctx.unconstrained();
-  for (size_t j = 0; j < unique.size(); ++j) {
-    const std::vector<uint32_t>& cs = cand[j];
-    stats.candidates += cs.size();
-    const size_t max_chunks = std::max<size_t>(1, num_threads_);
-    std::vector<std::vector<uint64_t>> chunk_out(max_chunks);
-    std::vector<SpatialQueryStats> chunk_stats(max_chunks);
-    QueryAbort abort;
-    const std::optional<geo::Geometry> rect =
-        ContainsRectFor(unique[j].box, unique[j].relation);
-    RefineJob job;
-    job.candidates = &cs;
+  // Per-unique-member refinement, chunked across the pool exactly like
+  // the single-query path. The chunk buffers, the abort channel and the
+  // job are set up once per batch; only the member's fields change. A
+  // fired deadline/cancel aborts the whole batch.
+  const size_t max_chunks = std::max<size_t>(1, num_threads_);
+  std::vector<std::vector<uint64_t>> chunk_out(max_chunks);
+  std::vector<SpatialQueryStats> chunk_stats(max_chunks);
+  QueryAbort abort;
+  std::optional<geo::Geometry> rect;
+  RefineJob job;
+  job.geoms = &geoms_;
+  job.subjects = &geom_subjects_;
+  job.guarded = !rctx.unconstrained();
+  job.rctx = &rctx;
+  job.who = "strabon.SpatialSelectBatch";
+  job.abort = &abort;
+  job.budget = 0;  // the batch path has no per-member memory budget
+  job.bytes_used = nullptr;
+  const std::function<void(size_t, size_t, size_t)> refine =
+      [&](size_t c, size_t begin, size_t end) {
+        RefineChunkRange(job, begin, end, &chunk_out[c], &chunk_stats[c]);
+      };
+  for (size_t j = 0; j < num_unique; ++j) {
+    stats.candidates += cand[j].size();
+    rect = ContainsRectFor(unique[j].box, unique[j].relation);
+    job.candidates = &cand[j];
     job.query = unique[j].box;
     job.relation = unique[j].relation;
     job.contains_rect = rect.has_value() ? &*rect : nullptr;
-    job.geoms = &geoms_;
-    job.subjects = &geom_subjects_;
-    job.guarded = guarded;
-    job.rctx = &rctx;
-    job.who = "strabon.SpatialSelectBatch";
-    job.abort = &abort;
-    job.budget = 0;  // the batch path has no per-member memory budget
-    job.bytes_used = nullptr;
-    const size_t used =
-        RunChunked(cs.size(), [&](size_t c, size_t begin, size_t end) {
-          RefineChunkRange(job, begin, end, &chunk_out[c], &chunk_stats[c]);
-        });
+    for (size_t c = 0; c < max_chunks; ++c) {
+      chunk_out[c].clear();
+      chunk_stats[c] = SpatialQueryStats{};
+    }
+    const size_t used = RunChunked(cand[j].size(), refine);
     if (used > 1) metrics.parallel_chunks->Increment(used);
     stats.threads_used = std::max<uint64_t>(stats.threads_used, used);
-    std::vector<uint64_t>& merged = unique_out[j];
+    std::vector<uint64_t>& merged = out[first_slot[j]];
     for (size_t c = 0; c < used; ++c) {
       MergeStats(chunk_stats[c], &stats);
       merged.insert(merged.end(), chunk_out[c].begin(), chunk_out[c].end());
@@ -746,7 +749,9 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
     std::sort(merged.begin(), merged.end());
     stats.results += merged.size();
   }
-  for (size_t i = 0; i < queries.size(); ++i) out[i] = unique_out[unique_of[i]];
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (slot_of[i] != i) out[i] = out[slot_of[i]];
+  }
   metrics.results->Increment(stats.results);
   metrics.envelope_hits->Increment(stats.envelope_hits);
   if (stats_out != nullptr) *stats_out = stats;

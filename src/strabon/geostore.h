@@ -89,7 +89,7 @@ struct SpatialQueryStats {
 /// One member of a cross-request SpatialSelect batch (see
 /// SpatialSelectBatch): a query box plus its relation. Batches are how the
 /// serving layer (serve::QueryBroker) turns N concurrent selections
-/// against the same frozen R-tree into one shared traversal.
+/// against the same frozen R-tree into one multi-query traversal.
 struct BatchSelectQuery {
   geo::Box box;
   SpatialRelation relation = SpatialRelation::kIntersects;
@@ -148,16 +148,19 @@ class GeoStore {
       common::QueryProfile* profile = nullptr) const;
 
   /// Cross-request batched spatial selection: answers all `queries` with
-  /// ONE shared R-tree traversal (over the union of the query boxes, with
-  /// per-query candidate demux) instead of one traversal per query.
-  /// Duplicate (box, relation) pairs are deduplicated, so N identical
-  /// concurrent selections cost a single traversal + refinement. Result
-  /// slot i is byte-identical to SpatialSelect(queries[i], use_index=true)
-  /// — candidate *order* may differ under the shared traversal, but
-  /// refinement is a pure per-candidate predicate and results are sorted.
-  /// The aggregate work across the whole batch is written to `stats`;
-  /// strabon.geostore.select_traversals counts 1 here vs 1 per query on
-  /// the unbatched path (the serving layer's batching win in metrics).
+  /// one multi-query R-tree walk (geo::RTree::VisitLeavesMulti) per block
+  /// of up to 64 unique members instead of one traversal per query. The
+  /// walk carries every member's box at once and prunes members per node,
+  /// so each member visits only its own subtree while nodes shared by
+  /// several members are fetched once. Duplicate (box, relation) pairs are
+  /// deduplicated, so N identical concurrent selections cost a single
+  /// probe + refinement. Result slot i is byte-identical to
+  /// SpatialSelect(queries[i], use_index=true): a member's candidates are
+  /// exactly its solo probe's, and results are sorted. The aggregate work
+  /// across the whole batch is written to `stats`; its nodes_visited never
+  /// exceeds the sum of the members' solo counts.
+  /// strabon.geostore.select_traversals counts one per walk here (one per
+  /// broker group of <= 64) vs one per query on the unbatched path.
   /// Honors the ambient RequestContext at batch granularity: a deadline /
   /// cancellation aborts the whole batch (per-member deadlines are the
   /// caller's concern — the broker checks them at demux).

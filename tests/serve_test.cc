@@ -16,18 +16,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "fed/federation.h"
 #include "geo/geometry.h"
 #include "rdf/query.h"
 #include "serve/broker.h"
 #include "serve/loadgen.h"
 #include "strabon/geostore.h"
+#include "strabon/workload.h"
 
 namespace {
 
@@ -128,6 +131,104 @@ TEST(ServeBatching, GeoStoreBatchMatchesPerQuerySelect) {
     EXPECT_EQ((*batch)[i], *single) << "query " << i;
   }
   EXPECT_TRUE((*batch)[3].empty());  // off-world box matches nothing
+}
+
+// Seeded batches of 1, 63, 64, 65 and 200 unique members (so some cross
+// the 64-member walk block), mixing clustered, dispersed, off-world and
+// zero-area boxes under all three relations, plus duplicates of earlier
+// members. Every slot must equal its solo SpatialSelect, the batch may
+// visit no more nodes than its unique members do alone, and it must make
+// one walk per 64-member block.
+TEST(ServeBatching, BatchMatchesSoloAcrossMemberBlocks) {
+  eea::strabon::GeoWorkloadOptions wopts;
+  // Enough features that the node bound bites: a walk that descended
+  // wherever *any* member's bounding hull reaches would visit more nodes
+  // than a few dozen small solo probes do together.
+  wopts.num_features = 12000;
+  wopts.kind = eea::strabon::GeoWorkloadOptions::GeometryKind::kMultiPolygon;
+  wopts.world_size = 1000.0;
+  wopts.feature_size = 15.0;
+  wopts.with_thematic = false;
+  wopts.seed = 23;
+  eea::strabon::GeoStore store = eea::strabon::MakeGeoWorkload(wopts);
+  using eea::strabon::BatchSelectQuery;
+  using eea::strabon::SpatialRelation;
+  constexpr SpatialRelation kRelations[] = {SpatialRelation::kIntersects,
+                                            SpatialRelation::kContains,
+                                            SpatialRelation::kWithin};
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    store.set_num_threads(threads);
+    for (size_t num_unique : {1, 63, 64, 65, 200}) {
+      eea::common::Rng rng(1000 + num_unique);
+      const double cx = rng.UniformDouble(200.0, 800.0);
+      const double cy = rng.UniformDouble(200.0, 800.0);
+      std::vector<BatchSelectQuery> unique;
+      for (size_t i = 0; i < num_unique; ++i) {
+        Box box;
+        switch (rng.Uniform(4)) {
+          case 0: {  // clustered around (cx, cy)
+            const double x = cx + rng.UniformDouble(-60.0, 60.0);
+            const double y = cy + rng.UniformDouble(-60.0, 60.0);
+            box = Box{x, y, x + rng.UniformDouble(1.0, 30.0),
+                      y + rng.UniformDouble(1.0, 30.0)};
+            break;
+          }
+          case 1: {  // dispersed over the world
+            const double x = rng.UniformDouble(0.0, 950.0);
+            const double y = rng.UniformDouble(0.0, 950.0);
+            box = Box{x, y, x + rng.UniformDouble(1.0, 50.0),
+                      y + rng.UniformDouble(1.0, 50.0)};
+            break;
+          }
+          case 2: {  // off-world
+            const double x = rng.UniformDouble(-900.0, -100.0);
+            const double y = rng.UniformDouble(0.0, 1000.0);
+            box = Box{x, y, x + 20.0, y + 20.0};
+            break;
+          }
+          default: {  // zero-area (a point)
+            const double x = rng.UniformDouble(0.0, 1000.0);
+            const double y = rng.UniformDouble(0.0, 1000.0);
+            box = Box{x, y, x, y};
+            break;
+          }
+        }
+        unique.push_back({box, kRelations[rng.Uniform(3)]});
+      }
+      // Duplicates of earlier members, interleaved at random positions.
+      std::vector<BatchSelectQuery> batch = unique;
+      for (size_t d = 0; d < num_unique / 4 + 1; ++d) {
+        const BatchSelectQuery dup = unique[rng.Uniform(num_unique)];
+        batch.insert(batch.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.Uniform(batch.size() + 1)),
+                     dup);
+      }
+
+      eea::strabon::SpatialQueryStats batch_stats;
+      const uint64_t before = Traversals();
+      auto result = store.SpatialSelectBatch(batch, &batch_stats);
+      const uint64_t walks = Traversals() - before;
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        auto solo = store.SpatialSelect(batch[i].box, batch[i].relation,
+                                        /*use_index=*/true);
+        ASSERT_TRUE(solo.ok());
+        EXPECT_EQ((*result)[i], *solo)
+            << "slot " << i << " of " << num_unique << " unique members";
+      }
+      uint64_t solo_nodes = 0;
+      for (const BatchSelectQuery& q : unique) {
+        eea::strabon::SpatialQueryStats s;
+        ASSERT_TRUE(store.SpatialSelect(q.box, q.relation, true, &s).ok());
+        solo_nodes += s.nodes_visited;
+      }
+      EXPECT_LE(batch_stats.nodes_visited, solo_nodes)
+          << num_unique << " unique members";
+      EXPECT_EQ(walks, (num_unique + 63) / 64)
+          << num_unique << " unique members";
+    }
+  }
 }
 
 // --- fairness ---------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -359,6 +360,87 @@ TEST(SimdRTreeTest, LeafTraversalMatchesEntryTraversal) {
         EXPECT_EQ(leaf_ids, flat_ids)
             << "variant=" << simd::ActiveVariantName();
         EXPECT_EQ(leaf_stats.nodes_visited, flat_stats.nodes_visited);
+      }
+    }
+  }
+}
+
+// VisitLeavesMulti is one walk for up to 64 boxes: restricted to one
+// member it must make exactly the (leaf first, mask) calls, in the same
+// order, that VisitLeavesWith makes for that member's box alone, and it
+// must pop no more nodes than the single-box walks do together. Member
+// sets mix ordinary boxes with adversarial ones (inverted, zero-area,
+// infinite, NaN).
+TEST(SimdRTreeTest, MultiQueryLeafTraversalMatchesPerBoxTraversal) {
+  VariantGuard guard;
+  Rng rng(31337);
+  using Calls = std::vector<
+      std::tuple<const exearth::geo::RTree::Entry*, uint32_t, uint64_t>>;
+  for (int round = 0; round < 6; ++round) {
+    const size_t n = 1 + rng.Uniform(800);
+    std::vector<exearth::geo::RTree::Entry> entries;
+    entries.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = rng.UniformDouble(0, 1000);
+      const double y = rng.UniformDouble(0, 1000);
+      entries.push_back({Box::Of(x, y, x + rng.UniformDouble(0, 40),
+                                 y + rng.UniformDouble(0, 40)),
+                         static_cast<int64_t>(i)});
+    }
+    exearth::geo::RTree tree =
+        exearth::geo::RTree::BulkLoad(std::move(entries));
+    for (size_t members : {size_t{1}, size_t{2}, size_t{17}, size_t{63},
+                           exearth::geo::RTree::kMaxQueries}) {
+      std::vector<Box> queries;
+      for (size_t j = 0; j < members; ++j) {
+        if (rng.Uniform(5) == 0) {
+          queries.push_back(AdversarialBox(&rng));
+          continue;
+        }
+        const double x = rng.UniformDouble(-50, 1000);
+        const double y = rng.UniformDouble(-50, 1000);
+        queries.push_back(Box::Of(x, y, x + rng.UniformDouble(0, 150),
+                                  y + rng.UniformDouble(0, 150)));
+      }
+      for (simd::KernelVariant v : AvailableVariants()) {
+        ASSERT_TRUE(simd::SetVariant(v));
+        std::vector<Calls> solo(members);
+        size_t solo_nodes = 0;
+        for (size_t j = 0; j < members; ++j) {
+          exearth::geo::RTree::TraversalStats s;
+          tree.VisitLeavesWith(
+              queries[j],
+              [&](const exearth::geo::RTree::Entry* es, uint32_t first,
+                  uint16_t, uint64_t hits) {
+                solo[j].emplace_back(es, first, hits);
+                return true;
+              },
+              &s);
+          solo_nodes += s.nodes_visited;
+        }
+        std::vector<Calls> multi(members);
+        exearth::geo::RTree::TraversalStats multi_stats;
+        tree.VisitLeavesMulti(
+            queries.data(), queries.size(),
+            [&](size_t member, const exearth::geo::RTree::Entry* es,
+                uint32_t first, uint16_t count, uint64_t hits) {
+              if (member >= members) {
+                ADD_FAILURE() << "member " << member << " of " << members;
+                return false;
+              }
+              EXPECT_NE(hits, 0u);
+              EXPECT_EQ(hits >> count, 0u);
+              multi[member].emplace_back(es, first, hits);
+              return true;
+            },
+            &multi_stats);
+        for (size_t j = 0; j < members; ++j) {
+          EXPECT_EQ(multi[j], solo[j])
+              << "member " << j << " of " << members
+              << " variant=" << simd::ActiveVariantName();
+        }
+        EXPECT_LE(multi_stats.nodes_visited, solo_nodes);
+        EXPECT_GE(multi_stats.nodes_visited, 1u);
       }
     }
   }

@@ -1025,11 +1025,13 @@ TEST_F(StorageRecoveryTest, FrozenRTreeMatchesMemoryUnderSmallPool) {
   wopts.with_thematic = false;
   strabon::GeoStore store = strabon::MakeGeoWorkload(wopts);
 
-  // Expected results from the in-memory packed tree.
+  // Expected results from the in-memory packed tree. The 65 boxes are
+  // dispersed over the world, so the batch runs as two multi-query walks
+  // (64 + 1 members) whose members share few nodes.
   Rng rng(17);
   std::vector<geo::Box> boxes;
   std::vector<strabon::BatchSelectQuery> batch;
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 65; ++i) {
     boxes.push_back(strabon::RandomSelectionBox(wopts.world_size, 0.002, &rng));
     batch.push_back({boxes.back(), strabon::SpatialRelation::kIntersects});
   }
@@ -1042,6 +1044,7 @@ TEST_F(StorageRecoveryTest, FrozenRTreeMatchesMemoryUnderSmallPool) {
   }
   auto expected_batch = store.SpatialSelectBatch(batch);
   ASSERT_TRUE(expected_batch.ok());
+  EXPECT_EQ(expected_batch.value(), expected);
 
   // Freeze the index through a disk-backed pool and drop the cache.
   TempDir dir;
