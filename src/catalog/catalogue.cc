@@ -1,6 +1,7 @@
 #include "catalog/catalogue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 
@@ -68,10 +69,16 @@ std::vector<raster::SceneMetadata> SemanticCatalogue::Search(
   SearchStats st;
   std::vector<size_t> candidate_ids;
   if (request.area.has_value()) {
-    product_index_.Visit(*request.area, [&](const geo::RTree::Entry& e) {
-      candidate_ids.push_back(static_cast<size_t>(e.id));
-      return true;
-    });
+    product_index_.VisitLeaves(
+        &*request.area, 1,
+        [&](size_t, const geo::RTree::Entry* es, uint32_t, uint16_t,
+            uint64_t hits) {
+          for (; hits != 0; hits &= hits - 1) {
+            candidate_ids.push_back(
+                static_cast<size_t>(es[std::countr_zero(hits)].id));
+          }
+          return true;
+        });
     std::sort(candidate_ids.begin(), candidate_ids.end());
   } else {
     candidate_ids.resize(products_.size());

@@ -1,22 +1,20 @@
-// R-tree spatial index over (Box, id) entries.
+// R-tree spatial index over (Box, id) entries, the index Strabon-style
+// spatial selection pushdown (E1/E2), spatial joins and spatial link
+// discovery (E10) sit on.
 //
-// Supports incremental insertion (quadratic split, R*-style least-
-// enlargement descent), STR bulk loading for static datasets, rectangle
-// queries, and nearest-neighbour search. This is the index Strabon-style
-// spatial selection pushdown (E1/E2) and spatial link discovery (E10) sit
-// on.
+// The tree is static: BulkLoad packs it with Sort-Tile-Recursive straight
+// into one contiguous arena of fixed-width FlatNodes laid out breadth-
+// first (a node's children, and a leaf's entries, are contiguous, so one
+// (first, count) pair addresses them), plus a second contiguous array of
+// leaf entries and SoA envelope columns mirroring both. FreezeTo/
+// OpenFrozen page that arena through a buffer pool unchanged.
 //
-// Two representations coexist:
-//   - the *incremental* tree: pointer-per-node, supports Insert;
-//   - the *frozen* tree: after Freeze() (BulkLoad freezes automatically)
-//     the nodes are packed into one contiguous arena of fixed-width
-//     FlatNodes with children addressed by index, and all leaf entries
-//     into a second contiguous array. Queries over the frozen form are
-//     allocation-free and touch cache lines sequentially; the templated
-//     VisitWith avoids the std::function indirection per node, and
-//     VisitLeavesMulti answers up to 64 boxes in one walk that prunes
-//     members per node (cross-request batching).
-// Insert invalidates the frozen form; Freeze() rebuilds it.
+// There is one traversal, VisitLeaves: one walk answers up to kMaxQueries
+// boxes, pruning members per node with the geo::simd envelope kernels, and
+// hands each member its intersecting entries leaf by leaf as bitmasks over
+// the leaf's contiguous slice. It allocates nothing and keeps its
+// statistics in the caller's TraversalStats, so concurrent walks share no
+// mutable state.
 
 #ifndef EXEARTH_GEO_RTREE_H_
 #define EXEARTH_GEO_RTREE_H_
@@ -24,9 +22,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -37,20 +32,25 @@
 
 namespace exearth::geo {
 
-/// An R-tree mapping bounding boxes to opaque int64 ids.
+/// A static R-tree mapping bounding boxes to opaque int64 ids.
 class RTree {
  public:
   static constexpr int kMaxEntries = 16;
-  static constexpr int kMinEntries = 6;
+  /// Deepest tree a walk's fixed stack holds (root depth 1). STR trees of
+  /// any size that fits in memory stay far below it; OpenFrozen rejects
+  /// deeper ones.
+  static constexpr int kMaxDepth = 32;
+  /// Most boxes one VisitLeaves walk carries: one bit each in the
+  /// active-member masks.
+  static constexpr size_t kMaxQueries = 64;
 
   struct Entry {
     Box box;
     int64_t id = 0;
   };
 
-  /// Fixed-width node of the frozen representation. Children of an
-  /// internal node (and entries of a leaf) are contiguous, so `first` +
-  /// `count` fully address them.
+  /// Fixed-width arena node. Children of an internal node (and entries of
+  /// a leaf) are contiguous, so `first` + `count` fully address them.
   struct FlatNode {
     Box box;
     uint32_t first = 0;  // index of first child (internal) / entry (leaf)
@@ -64,192 +64,61 @@ class RTree {
     size_t nodes_visited = 0;
   };
 
-  // Tree node; defined in rtree.cc (opaque to users).
-  struct Node;
-
-  RTree();
-  ~RTree();
-
-  RTree(const RTree&) = delete;
-  RTree& operator=(const RTree&) = delete;
-  RTree(RTree&&) noexcept;
-  RTree& operator=(RTree&&) noexcept;
-
-  /// Builds a tree from scratch with Sort-Tile-Recursive packing. Much
-  /// faster and better-packed than repeated Insert for static data. The
-  /// result is frozen.
+  /// Builds a tree with Sort-Tile-Recursive packing: entries sorted by
+  /// centre x, cut into vertical strips, each strip sorted by centre y and
+  /// packed kMaxEntries to a leaf; then the same one level up until one
+  /// root remains.
   static RTree BulkLoad(std::vector<Entry> entries);
 
-  /// Inserts one entry. Invalidates the frozen form (Freeze() rebuilds).
-  void Insert(const Box& box, int64_t id);
-
-  /// Packs the incremental tree into the contiguous frozen arena. Idempotent;
-  /// queries fall back to the pointer tree while unfrozen.
-  void Freeze();
-
-  /// True when the frozen arena is current (queries run allocation-free).
-  bool frozen() const { return frozen_; }
-
-  /// Serializes the frozen arena (FlatNodes + entries) into a page chain
-  /// allocated from `pool`, returning the head page id in `*head`. The
-  /// tree must be frozen. Pages are written through the buffer pool;
-  /// callers persist `*head` (and FlushAll/Sync) themselves.
+  /// Serializes the arena (FlatNodes + entries) into a page chain
+  /// allocated from `pool`, returning the head page id in `*head`. Pages
+  /// are written through the buffer pool; callers persist `*head` (and
+  /// FlushAll/Sync) themselves.
   common::Status FreezeTo(storage::BufferPool* pool,
                           storage::PageId* head) const;
 
   /// Loads a tree serialized by FreezeTo. Reads go through the buffer
-  /// pool (cold cache = storage reads, warm = pool hits). The result is
-  /// frozen with flat arenas identical to the source tree's, so spatial
-  /// query results are byte-identical by construction; the pointer tree
-  /// is rebuilt too, keeping Insert/Nearest/Height functional.
+  /// pool (cold cache = storage reads, warm = pool hits). The arena is
+  /// identical to the source tree's, so spatial query results are byte-
+  /// identical by construction. A chain that is not exactly the breadth-
+  /// first layout FreezeTo writes (ranges out of order or out of bounds,
+  /// nodes wider than kMaxEntries or deeper than kMaxDepth, a size that
+  /// disagrees with the entry count) is rejected with IOError, so no
+  /// stored bytes can send a walk out of bounds or into a cycle.
   static common::Result<RTree> OpenFrozen(storage::BufferPool* pool,
                                           storage::PageId head);
 
-  size_t size() const { return size_; }
-  /// Height of the tree (1 for a single leaf).
-  int Height() const;
+  size_t size() const { return flat_entries_.size(); }
 
-  /// Ids of all entries whose box intersects `query`.
-  std::vector<int64_t> Query(const Box& query) const;
-
-  /// Visits entries intersecting `query`; return false from the visitor to
-  /// stop early.
-  void Visit(const Box& query,
-             const std::function<bool(const Entry&)>& visitor) const;
-
-  /// Like Visit but templated on the visitor (no std::function indirection)
-  /// and with traversal statistics returned through `stats` instead of a
-  /// mutable member — safe for concurrent queries. Runs over the frozen
-  /// arena when available, else the pointer tree.
-  template <typename Visitor>
-  void VisitWith(const Box& query, Visitor&& visitor,
-                 TraversalStats* stats = nullptr) const {
-    if (!frozen_) {
-      VisitPointerTree(query, std::forward<Visitor>(visitor), stats);
-      return;
-    }
-    if (flat_nodes_.empty()) return;
-    // Batched child pruning: a node's children (and a leaf's entries) are
-    // contiguous in the arena, so their envelopes form a contiguous SoA
-    // slice and one geo::simd kernel call tests all <= kMaxEntries of them,
-    // returning a bitmask. Set bits are consumed ascending, which pushes
-    // children — and invokes the visitor — in exactly the order of the
-    // unbatched per-box loop, so traversal order, early-exit points, and
-    // nodes_visited counts stay identical across kernel variants.
-    const simd::KernelTable& kern = simd::Kernels();
-    // Depth is bounded by log_kMinEntries(size); 32 levels of kMaxEntries
-    // children each covers any tree that fits in memory.
-    uint32_t stack[32 * kMaxEntries];
-    size_t top = 0;
-    stack[top++] = 0;
-    size_t visited = 0;
-    while (top > 0) {
-      const FlatNode& node = flat_nodes_[stack[--top]];
-      ++visited;
-      if (!node.box.Intersects(query)) continue;
-      if (node.leaf != 0) {
-        const Entry* entries = flat_entries_.data() + node.first;
-        uint64_t mask = kern.envelope_intersects(
-            query, entry_env_.Slice(node.first, node.count));
-        while (mask != 0) {
-          const int i = std::countr_zero(mask);
-          mask &= mask - 1;
-          if (!visitor(entries[i])) {
-            if (stats != nullptr) stats->nodes_visited += visited;
-            return;
-          }
-        }
-      } else {
-        uint64_t mask = kern.envelope_intersects(
-            query, node_env_.Slice(node.first, node.count));
-        while (mask != 0) {
-          const int c = std::countr_zero(mask);
-          mask &= mask - 1;
-          stack[top++] = node.first + static_cast<uint32_t>(c);
-        }
-      }
-    }
-    if (stats != nullptr) stats->nodes_visited += visited;
-  }
-
-  /// Leaf-granular variant of VisitWith for batch consumers: the visitor
-  /// is called once per intersecting *leaf* with that leaf's contiguous
-  /// entry range and the bitmask of entries whose envelope intersects
-  /// `query` (bit i addresses entries[i]; bits at or above `count` are
-  /// zero; leaves with an all-zero mask are skipped). Because a leaf's
-  /// entries occupy the contiguous [first, first+count) slice of
-  /// entry_envelopes(), the caller can evaluate further batched envelope
-  /// predicates on the same slice with zero gathering — this is the hook
-  /// the GeoStore/link probes use to settle their envelope fast paths
-  /// while the slice is still in cache. Consuming set bits ascending
-  /// reproduces VisitWith's per-entry order exactly. Return false from
-  /// the visitor to stop the traversal. Frozen trees only (BulkLoad
-  /// freezes; call Freeze() after Insert).
-  template <typename LeafVisitor>
-  void VisitLeavesWith(const Box& query, LeafVisitor&& visitor,
-                       TraversalStats* stats = nullptr) const {
-    assert(frozen_ && "VisitLeavesWith requires a frozen tree");
-    if (flat_nodes_.empty()) return;
-    const simd::KernelTable& kern = simd::Kernels();
-    uint32_t stack[32 * kMaxEntries];
-    size_t top = 0;
-    stack[top++] = 0;
-    size_t visited = 0;
-    while (top > 0) {
-      const FlatNode& node = flat_nodes_[stack[--top]];
-      ++visited;
-      if (!node.box.Intersects(query)) continue;
-      if (node.leaf != 0) {
-        const uint64_t mask = kern.envelope_intersects(
-            query, entry_env_.Slice(node.first, node.count));
-        if (mask != 0 && !visitor(flat_entries_.data() + node.first,
-                                  node.first, node.count, mask)) {
-          if (stats != nullptr) stats->nodes_visited += visited;
-          return;
-        }
-      } else {
-        uint64_t mask = kern.envelope_intersects(
-            query, node_env_.Slice(node.first, node.count));
-        while (mask != 0) {
-          const int c = std::countr_zero(mask);
-          mask &= mask - 1;
-          stack[top++] = node.first + static_cast<uint32_t>(c);
-        }
-      }
-    }
-    if (stats != nullptr) stats->nodes_visited += visited;
-  }
-
-  /// Most boxes one VisitLeavesMulti walk carries: one bit each in the
-  /// active-member masks.
-  static constexpr size_t kMaxQueries = 64;
-
-  /// Multi-query form of VisitLeavesWith: ONE walk answers up to
-  /// kMaxQueries boxes `queries[0, n)`. The walk pushes (node, active-
-  /// member bitmask) pairs; at an internal node the SoA envelope kernel
-  /// runs once per *active* member over the children's slice, and a child
-  /// is pushed only with the members whose box reaches it. So each member
-  /// touches exactly its own subtree, while nodes shared by several
-  /// members are fetched once per walk instead of once per member. At a
-  /// leaf the visitor is called once per active member with a non-zero
-  /// entry mask, members ascending:
+  /// ONE walk answers up to kMaxQueries boxes `queries[0, n)`. The walk
+  /// pushes (node, active-member bitmask) pairs; at an internal node the
+  /// SoA envelope kernel runs once per *active* member over the children's
+  /// slice, and a child is pushed only with the members whose box reaches
+  /// it. So each member touches exactly its own subtree, while nodes
+  /// shared by several members are fetched once per walk instead of once
+  /// per member. At a leaf the visitor is called once per active member
+  /// whose entry mask is non-zero, members ascending:
   ///   visitor(member, entries, first, count, mask) -> bool
-  /// with the same (entries, first, count, mask) meaning as in
-  /// VisitLeavesWith. Restricted to one member, the calls arrive in the
-  /// order VisitLeavesWith(queries[member]) makes them, with equal masks.
-  /// `stats` counts the nodes this walk popped (each at most once), which
-  /// never exceeds the sum over members of their single-query counts.
-  /// Return false from the visitor to stop the whole walk. Frozen trees
-  /// only.
+  /// `entries` is the leaf's contiguous entry range [first, first+count)
+  /// and bit i of `mask` says entries[i]'s envelope intersects
+  /// queries[member] (bits at or above `count` are zero). The same range
+  /// is a contiguous slice of entry_envelopes(), so callers evaluate
+  /// further batched envelope predicates on it with zero gathering.
+  /// Children are pushed ascending, so one member's calls arrive in the
+  /// same order, with the same masks, whether it walks alone or with
+  /// others. `stats` counts the nodes this walk popped (each at most
+  /// once), which never exceeds the sum over members of their one-member
+  /// counts. Return false from the visitor to stop the whole walk.
   template <typename LeafVisitor>
-  void VisitLeavesMulti(const Box* queries, size_t n, LeafVisitor&& visitor,
-                        TraversalStats* stats = nullptr) const {
-    assert(frozen_ && "VisitLeavesMulti requires a frozen tree");
+  void VisitLeaves(const Box* queries, size_t n, LeafVisitor&& visitor,
+                   TraversalStats* stats = nullptr) const {
     assert(n <= kMaxQueries);
     if (flat_nodes_.empty() || n == 0) return;
     const simd::KernelTable& kern = simd::Kernels();
-    uint32_t node_stack[32 * kMaxEntries];
-    uint64_t member_stack[32 * kMaxEntries];
+    // A popped node leaves at most kMaxEntries - 1 siblings pending per
+    // level above it, so kMaxDepth levels fit.
+    uint32_t node_stack[kMaxDepth * kMaxEntries];
+    uint64_t member_stack[kMaxDepth * kMaxEntries];
     size_t top = 0;
     uint64_t root_members = 0;
     for (size_t j = 0; j < n; ++j) {
@@ -280,11 +149,21 @@ class RTree {
           }
         }
       } else if (active != 0) {
-        // Transpose the per-member child masks into per-child member
-        // masks, then push children ascending as the single-query walk
-        // does.
         const simd::EnvelopeSpan slice =
             node_env_.Slice(node.first, node.count);
+        if ((active & (active - 1)) == 0) {
+          // One active member (every node of a one-box walk): its child
+          // mask already says which children to push, with this member.
+          uint64_t m = kern.envelope_intersects(
+              queries[std::countr_zero(active)], slice);
+          for (; m != 0; m &= m - 1) {
+            node_stack[top] = node.first + std::countr_zero(m);
+            member_stack[top++] = active;
+          }
+          continue;
+        }
+        // Transpose the per-member child masks into per-child member
+        // masks, then push children ascending.
         uint64_t reach[kMaxEntries] = {};
         while (active != 0) {
           const int j = std::countr_zero(active);
@@ -306,34 +185,18 @@ class RTree {
     if (stats != nullptr) stats->nodes_visited += visited;
   }
 
-  /// SoA envelope columns of the frozen leaf entries; the `first`/`count`
-  /// pair of a VisitLeavesWith callback addresses a contiguous slice.
+  /// SoA envelope columns of the leaf entries; the `first`/`count` pair of
+  /// a VisitLeaves callback addresses a contiguous slice.
   const simd::EnvelopeColumns& entry_envelopes() const { return entry_env_; }
 
-  /// The `k` entries nearest to `p` by box distance, closest first.
-  std::vector<Entry> Nearest(const Point& p, size_t k) const;
-
-  /// Number of tree nodes touched by the last Query/Visit call (statistics
-  /// for the benchmarks; not thread-safe across concurrent queries —
-  /// concurrent callers should use VisitWith with a TraversalStats).
-  size_t last_nodes_visited() const { return last_nodes_visited_; }
-
  private:
-  void VisitPointerTree(const Box& query,
-                        const std::function<bool(const Entry&)>& visitor,
-                        TraversalStats* stats) const;
-
-  std::unique_ptr<Node> root_;
-  size_t size_ = 0;
-  bool frozen_ = false;
-  std::vector<FlatNode> flat_nodes_;   // breadth-first; children contiguous
-  std::vector<Entry> flat_entries_;    // leaf entries, leaf-by-leaf
-  // SoA mirrors of the flat_nodes_ / flat_entries_ envelopes, built by
-  // Freeze() for the batched kernels (a node's (first, count) range is a
-  // contiguous slice of these columns).
+  std::vector<FlatNode> flat_nodes_;  // breadth-first; children contiguous
+  std::vector<Entry> flat_entries_;   // leaf entries, leaf-by-leaf
+  // SoA mirrors of the flat_nodes_ / flat_entries_ envelopes for the
+  // batched kernels (a node's (first, count) range is a contiguous slice
+  // of these columns).
   simd::EnvelopeColumns node_env_;
   simd::EnvelopeColumns entry_env_;
-  mutable size_t last_nodes_visited_ = 0;
 };
 
 }  // namespace exearth::geo

@@ -144,9 +144,9 @@ SpatialLinkResult DiscoverSpatialLinks(const std::vector<geo::Geometry>& a,
           Local& local = locals[c];
           for (size_t i = begin; i < end; ++i) {
             const geo::Box probe = a[i].Envelope().Buffered(margin);
-            tree.VisitLeavesWith(
-                probe, [&](const geo::RTree::Entry* es, uint32_t first,
-                           uint16_t count, uint64_t hits) {
+            tree.VisitLeaves(
+                &probe, 1, [&](size_t, const geo::RTree::Entry* es,
+                               uint32_t first, uint16_t count, uint64_t hits) {
                   // Intersects and within-distance screen on the
                   // (buffered) traversal mask itself; containment needs
                   // a's envelope to cover b's — strictly narrower than

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <limits>
 #include <optional>
 
 #include "common/deadline.h"
@@ -331,6 +332,30 @@ common::Status GeoStore::LoadFrozenIndex(storage::BufferPool* pool,
         "arena has %zu — index and dataset are out of sync",
         loaded.size(), geom_subjects_.size()));
   }
+  // Entry ids index geoms_/geom_subjects_ unchecked on every query path,
+  // and ids at or above 2^31 would collide with kFastBit: reject any id
+  // outside the arena. Envelope tests are monotone in the query box, so a
+  // walk with the all-covering box reaches every leaf any query reaches.
+  const double inf = std::numeric_limits<double>::infinity();
+  const geo::Box everything = geo::Box::Of(-inf, -inf, inf, inf);
+  bool ids_in_arena = true;
+  loaded.VisitLeaves(&everything, 1,
+                     [&](size_t, const geo::RTree::Entry* es, uint32_t,
+                         uint16_t count, uint64_t) {
+                       for (uint16_t i = 0; i < count; ++i) {
+                         if (es[i].id < 0 ||
+                             static_cast<uint64_t>(es[i].id) >=
+                                 geom_subjects_.size()) {
+                           ids_in_arena = false;
+                         }
+                       }
+                       return ids_in_arena;
+                     });
+  if (!ids_in_arena) {
+    return common::Status::IOError(
+        "LoadFrozenIndex: frozen index holds an entry id outside the "
+        "geometry arena");
+  }
   rtree_ = std::move(loaded);
   return common::Status::OK();
 }
@@ -469,10 +494,10 @@ Result<std::vector<uint64_t>> GeoStore::SpatialSelect(
     metrics.select_traversals->Increment();
     geo::RTree::TraversalStats tstats;
     const simd::EnvelopeColumns& eenv = rtree_.entry_envelopes();
-    rtree_.VisitLeavesWith(
-        query,
-        [&](const geo::RTree::Entry* es, uint32_t first, uint16_t count,
-            uint64_t hits) {
+    rtree_.VisitLeaves(
+        &query, 1,
+        [&](size_t, const geo::RTree::Entry* es, uint32_t first,
+            uint16_t count, uint64_t hits) {
           // Both envelope predicates are settled here, while the leaf's
           // SoA slice is hot: the traversal mask answers "intersects",
           // and one more kernel call over the same slice answers the
@@ -674,7 +699,7 @@ Result<std::vector<std::vector<uint64_t>>> GeoStore::SpatialSelectBatch(
     for (size_t base = 0; base < num_unique; base += geo::RTree::kMaxQueries) {
       metrics.index_probes->Increment();
       metrics.select_traversals->Increment();
-      rtree_.VisitLeavesMulti(
+      rtree_.VisitLeaves(
           boxes.data() + base,
           std::min(geo::RTree::kMaxQueries, num_unique - base),
           [&](size_t member, const geo::RTree::Entry* es, uint32_t first,
@@ -1017,10 +1042,10 @@ Result<std::vector<std::pair<uint64_t, uint64_t>>> GeoStore::SpatialJoin(
         const geo::Geometry& ga = geoms_[a];
         const geo::Box abox = env_cols_.At(a);
         buf.clear();
-        rtree_.VisitLeavesWith(
-            abox,
-            [&](const geo::RTree::Entry* es, uint32_t first, uint16_t count,
-                uint64_t hits) {
+        rtree_.VisitLeaves(
+            &abox, 1,
+            [&](size_t, const geo::RTree::Entry* es, uint32_t first,
+                uint16_t count, uint64_t hits) {
               // The relation holds only if the envelopes do: Intersects
               // needs overlapping envelopes (the traversal mask itself),
               // Contains needs a's envelope to cover b's, Within the

@@ -148,7 +148,7 @@ class GeoStore {
       common::QueryProfile* profile = nullptr) const;
 
   /// Cross-request batched spatial selection: answers all `queries` with
-  /// one multi-query R-tree walk (geo::RTree::VisitLeavesMulti) per block
+  /// one multi-query R-tree walk (geo::RTree::VisitLeaves) per block
   /// of up to 64 unique members instead of one traversal per query. The
   /// walk carries every member's box at once and prunes members per node,
   /// so each member visits only its own subtree while nodes shared by

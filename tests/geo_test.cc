@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "geo/geometry.h"
 #include "geo/rtree.h"
 #include "geo/wkt.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_chain.h"
+#include "storage/storage_manager.h"
 
 namespace exearth::geo {
 namespace {
@@ -377,49 +384,68 @@ TEST(WktTest, ToWktBox) {
 
 // --- RTree ---------------------------------------------------------------
 
+// Ids of the entries intersecting `query`, in walk order, from a
+// one-member VisitLeaves walk.
+std::vector<int64_t> QueryIds(const RTree& tree, const Box& query,
+                              RTree::TraversalStats* stats = nullptr) {
+  std::vector<int64_t> out;
+  tree.VisitLeaves(
+      &query, 1,
+      [&](size_t, const RTree::Entry* es, uint32_t, uint16_t, uint64_t hits) {
+        for (; hits != 0; hits &= hits - 1) {
+          out.push_back(es[std::countr_zero(hits)].id);
+        }
+        return true;
+      },
+      stats);
+  return out;
+}
+
+// Ids of `entries` whose box intersects `query`: the reference every
+// R-tree walk is checked against.
+std::set<int64_t> BruteForceIds(const std::vector<RTree::Entry>& entries,
+                                const Box& query) {
+  std::set<int64_t> out;
+  for (const auto& e : entries) {
+    if (e.box.Intersects(query)) out.insert(e.id);
+  }
+  return out;
+}
+
+// Random boxes of side up to `max_side` in [0, 1000)^2.
+std::vector<RTree::Entry> RandomEntries(common::Rng* rng, int n,
+                                        double max_side) {
+  std::vector<RTree::Entry> entries;
+  for (int i = 0; i < n; ++i) {
+    double x = rng->UniformDouble(0, 1000);
+    double y = rng->UniformDouble(0, 1000);
+    double w = rng->UniformDouble(0, max_side);
+    double h = rng->UniformDouble(0, max_side);
+    entries.push_back({Box::Of(x, y, x + w, y + h), i});
+  }
+  return entries;
+}
+
 TEST(RTreeTest, EmptyTreeQueries) {
   RTree tree;
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.Query(Box::Of(0, 0, 1, 1)).empty());
-}
-
-TEST(RTreeTest, InsertAndQuery) {
-  RTree tree;
-  for (int i = 0; i < 100; ++i) {
-    double x = static_cast<double>(i % 10);
-    double y = static_cast<double>(i / 10);
-    tree.Insert(Box::Of(x, y, x + 0.5, y + 0.5), i);
-  }
-  EXPECT_EQ(tree.size(), 100u);
-  auto hits = tree.Query(Box::Of(0, 0, 2.9, 0.9));
-  std::set<int64_t> s(hits.begin(), hits.end());
-  EXPECT_EQ(s, (std::set<int64_t>{0, 1, 2}));
+  RTree::TraversalStats stats;
+  EXPECT_TRUE(QueryIds(tree, Box::Of(0, 0, 1, 1), &stats).empty());
+  EXPECT_EQ(stats.nodes_visited, 0u);
 }
 
 TEST(RTreeTest, QueryMatchesBruteForce) {
   common::Rng rng(42);
-  std::vector<RTree::Entry> entries;
-  RTree tree;
-  for (int i = 0; i < 2000; ++i) {
-    double x = rng.UniformDouble(0, 1000);
-    double y = rng.UniformDouble(0, 1000);
-    double w = rng.UniformDouble(0, 5);
-    double h = rng.UniformDouble(0, 5);
-    Box b = Box::Of(x, y, x + w, y + h);
-    entries.push_back({b, i});
-    tree.Insert(b, i);
-  }
+  const std::vector<RTree::Entry> entries = RandomEntries(&rng, 2000, 5);
+  RTree tree = RTree::BulkLoad(entries);
   for (int q = 0; q < 50; ++q) {
     double x = rng.UniformDouble(0, 950);
     double y = rng.UniformDouble(0, 950);
     Box query = Box::Of(x, y, x + 50, y + 50);
-    std::set<int64_t> expected;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(query)) expected.insert(e.id);
-    }
-    auto hits = tree.Query(query);
+    auto hits = QueryIds(tree, query);
     std::set<int64_t> actual(hits.begin(), hits.end());
-    EXPECT_EQ(actual, expected) << "query " << q;
+    EXPECT_EQ(actual.size(), hits.size()) << "an entry reported twice";
+    EXPECT_EQ(actual, BruteForceIds(entries, query)) << "query " << q;
   }
 }
 
@@ -437,50 +463,37 @@ TEST(RTreeTest, BulkLoadMatchesBruteForce) {
     double x = rng.UniformDouble(0, 900);
     double y = rng.UniformDouble(0, 900);
     Box query = Box::Of(x, y, x + 100, y + 100);
-    std::set<int64_t> expected;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(query)) expected.insert(e.id);
-    }
-    auto hits = tree.Query(query);
+    auto hits = QueryIds(tree, query);
     std::set<int64_t> actual(hits.begin(), hits.end());
-    EXPECT_EQ(actual, expected);
+    EXPECT_EQ(actual, BruteForceIds(entries, query));
   }
 }
 
 TEST(RTreeTest, BulkLoadEmptyAndSingle) {
   RTree empty = RTree::BulkLoad({});
   EXPECT_EQ(empty.size(), 0u);
-  EXPECT_TRUE(empty.Query(Box::Of(0, 0, 1, 1)).empty());
+  EXPECT_TRUE(QueryIds(empty, Box::Of(0, 0, 1, 1)).empty());
   RTree single = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 7}});
-  auto hits = single.Query(Box::Of(0.5, 0.5, 2, 2));
+  EXPECT_EQ(single.size(), 1u);
+  RTree::TraversalStats stats;
+  auto hits = QueryIds(single, Box::Of(0.5, 0.5, 2, 2), &stats);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 7);
-}
-
-TEST(RTreeTest, HeightGrowsLogarithmically) {
-  common::Rng rng(44);
-  std::vector<RTree::Entry> entries;
-  for (int i = 0; i < 10000; ++i) {
-    double x = rng.UniformDouble(0, 1000);
-    double y = rng.UniformDouble(0, 1000);
-    entries.push_back({Box::Of(x, y, x, y), i});
-  }
-  RTree tree = RTree::BulkLoad(entries);
-  EXPECT_GE(tree.Height(), 3);
-  EXPECT_LE(tree.Height(), 6);
+  EXPECT_EQ(stats.nodes_visited, 1u);  // the root is the only leaf
+  EXPECT_TRUE(QueryIds(single, Box::Of(2, 2, 3, 3)).empty());
 }
 
 TEST(RTreeTest, VisitEarlyStop) {
-  RTree tree;
-  for (int i = 0; i < 100; ++i) {
-    tree.Insert(Box::Of(0, 0, 1, 1), i);
-  }
-  int count = 0;
-  tree.Visit(Box::Of(0, 0, 1, 1), [&](const RTree::Entry&) {
-    ++count;
-    return count < 5;
-  });
-  EXPECT_EQ(count, 5);
+  std::vector<RTree::Entry> entries;
+  for (int i = 0; i < 100; ++i) entries.push_back({Box::Of(0, 0, 1, 1), i});
+  RTree tree = RTree::BulkLoad(entries);
+  // Stopping mid-leaf ends the whole walk: no further leaf is visited.
+  int leaves = 0;
+  const Box query = Box::Of(0, 0, 1, 1);
+  tree.VisitLeaves(&query, 1,
+                   [&](size_t, const RTree::Entry*, uint32_t, uint16_t,
+                       uint64_t) { return ++leaves < 5; });
+  EXPECT_EQ(leaves, 5);
 }
 
 TEST(RTreeTest, QueryTouchesFewNodesOnPointQuery) {
@@ -492,108 +505,51 @@ TEST(RTreeTest, QueryTouchesFewNodesOnPointQuery) {
     entries.push_back({Box::Of(x, y, x + 0.1, y + 0.1), i});
   }
   RTree tree = RTree::BulkLoad(entries);
-  tree.Query(Box::Of(500, 500, 500.5, 500.5));
-  // A point-ish query should touch a tiny fraction of ~1900 nodes.
-  EXPECT_LT(tree.last_nodes_visited(), 60u);
-}
-
-TEST(RTreeTest, Nearest) {
-  RTree tree;
-  for (int i = 0; i < 10; ++i) {
-    double x = static_cast<double>(i * 10);
-    tree.Insert(Box::Of(x, 0, x + 1, 1), i);
-  }
-  auto nearest = tree.Nearest(Point{0.5, 0.5}, 3);
-  ASSERT_EQ(nearest.size(), 3u);
-  EXPECT_EQ(nearest[0].id, 0);
-  EXPECT_EQ(nearest[1].id, 1);
-  EXPECT_EQ(nearest[2].id, 2);
-}
-
-TEST(RTreeTest, NearestMoreThanSize) {
-  RTree tree;
-  tree.Insert(Box::Of(0, 0, 1, 1), 1);
-  auto nearest = tree.Nearest(Point{5, 5}, 10);
-  EXPECT_EQ(nearest.size(), 1u);
+  RTree::TraversalStats stats;
+  QueryIds(tree, Box::Of(500, 500, 500.5, 500.5), &stats);
+  // A point-ish query should touch a tiny fraction of ~1400 nodes.
+  EXPECT_GT(stats.nodes_visited, 0u);
+  EXPECT_LT(stats.nodes_visited, 60u);
 }
 
 TEST(RTreeTest, MoveSemantics) {
-  RTree a;
-  a.Insert(Box::Of(0, 0, 1, 1), 1);
+  RTree a = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 1}});
   RTree b = std::move(a);
   EXPECT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.Query(Box::Of(0, 0, 2, 2)).size(), 1u);
+  EXPECT_EQ(QueryIds(b, Box::Of(0, 0, 2, 2)), std::vector<int64_t>{1});
+  RTree c;
+  c = std::move(b);
+  EXPECT_EQ(QueryIds(c, Box::Of(0, 0, 2, 2)), std::vector<int64_t>{1});
+  EXPECT_EQ(c.entry_envelopes().size(), 1u);
 }
 
-TEST(RTreeTest, NearestOnEmptyTree) {
-  RTree tree;
-  EXPECT_TRUE(tree.Nearest(Point{0, 0}, 5).empty());
-  RTree bulk = RTree::BulkLoad({});
-  EXPECT_TRUE(bulk.Nearest(Point{3, 3}, 1).empty());
-}
-
-TEST(RTreeTest, NearestKLargerThanSize) {
-  RTree tree = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 1},
-                                {Box::Of(5, 5, 6, 6), 2},
-                                {Box::Of(9, 9, 10, 10), 3}});
-  auto nearest = tree.Nearest(Point{0, 0}, 100);
-  ASSERT_EQ(nearest.size(), 3u);
-  EXPECT_EQ(nearest[0].id, 1);
-  EXPECT_EQ(nearest[1].id, 2);
-  EXPECT_EQ(nearest[2].id, 3);
-}
-
-TEST(RTreeTest, BulkLoadIsFrozenInsertThaws) {
-  RTree tree = RTree::BulkLoad({{Box::Of(0, 0, 1, 1), 1}});
-  EXPECT_TRUE(tree.frozen());
-  tree.Insert(Box::Of(2, 2, 3, 3), 2);
-  EXPECT_FALSE(tree.frozen());
-  // Unfrozen queries fall back to the pointer tree and stay correct.
-  EXPECT_EQ(tree.Query(Box::Of(0, 0, 4, 4)).size(), 2u);
-  tree.Freeze();
-  EXPECT_TRUE(tree.frozen());
-  EXPECT_EQ(tree.Query(Box::Of(0, 0, 4, 4)).size(), 2u);
-}
-
+// Boxes of varied size (up to 8 wide, so leaves overlap) against a
+// brute-force scan, with every query's walk cross-checked against the
+// arena's SoA envelope columns.
 TEST(RTreeTest, FrozenMatchesIncrementalRandomized) {
   common::Rng rng(46);
-  std::vector<RTree::Entry> entries;
-  RTree incremental;
-  for (int i = 0; i < 3000; ++i) {
-    double x = rng.UniformDouble(0, 1000);
-    double y = rng.UniformDouble(0, 1000);
-    double w = rng.UniformDouble(0, 8);
-    double h = rng.UniformDouble(0, 8);
-    Box b = Box::Of(x, y, x + w, y + h);
-    entries.push_back({b, i});
-    incremental.Insert(b, i);
-  }
-  RTree bulk = RTree::BulkLoad(entries);
-  ASSERT_TRUE(bulk.frozen());
-  ASSERT_FALSE(incremental.frozen());
-  for (int q = 0; q < 40; ++q) {
+  const std::vector<RTree::Entry> entries = RandomEntries(&rng, 3000, 8);
+  RTree tree = RTree::BulkLoad(entries);
+  ASSERT_EQ(tree.entry_envelopes().size(), entries.size());
+  for (int q = 0; q < 80; ++q) {
     double x = rng.UniformDouble(0, 950);
     double y = rng.UniformDouble(0, 950);
     Box query = Box::Of(x, y, x + 60, y + 60);
-    auto pointer_hits = incremental.Query(query);  // pointer-tree path
-    std::set<int64_t> expected(pointer_hits.begin(), pointer_hits.end());
-    auto frozen_hits = bulk.Query(query);  // flat-arena path
-    EXPECT_EQ(std::set<int64_t>(frozen_hits.begin(), frozen_hits.end()),
-              expected)
-        << "query " << q;
-  }
-  // Freezing the incrementally built tree must not change its answers.
-  incremental.Freeze();
-  for (int q = 0; q < 40; ++q) {
-    double x = rng.UniformDouble(0, 950);
-    double y = rng.UniformDouble(0, 950);
-    Box query = Box::Of(x, y, x + 60, y + 60);
-    std::set<int64_t> expected;
-    for (const auto& e : entries) {
-      if (e.box.Intersects(query)) expected.insert(e.id);
-    }
-    auto hits = incremental.Query(query);
-    EXPECT_EQ(std::set<int64_t>(hits.begin(), hits.end()), expected);
+    std::set<int64_t> actual;
+    tree.VisitLeaves(
+        &query, 1,
+        [&](size_t, const RTree::Entry* es, uint32_t first, uint16_t count,
+            uint64_t hits) {
+          EXPECT_LE(count, RTree::kMaxEntries);
+          EXPECT_EQ(hits >> count, 0u) << "bits beyond the leaf";
+          for (uint16_t i = 0; i < count; ++i) {
+            EXPECT_EQ(tree.entry_envelopes().At(first + i).min_x,
+                      es[i].box.min_x);
+            if (((hits >> i) & 1) != 0) actual.insert(es[i].id);
+          }
+          return true;
+        });
+    EXPECT_EQ(actual, BruteForceIds(entries, query)) << "query " << q;
   }
 }
 
@@ -603,18 +559,84 @@ TEST(RTreeTest, VisitWithReportsStatsAndStopsEarly) {
     entries.push_back({Box::Of(i, 0, i + 0.5, 1), i});
   }
   RTree tree = RTree::BulkLoad(entries);
+  const Box query = Box::Of(0, 0, 1000, 1);
   RTree::TraversalStats stats;
-  size_t count = 0;
-  tree.VisitWith(
-      Box::Of(0, 0, 1000, 1), [&](const RTree::Entry&) { return ++count < 7; },
+  size_t leaves = 0;
+  tree.VisitLeaves(
+      &query, 1,
+      [&](size_t, const RTree::Entry*, uint32_t, uint16_t, uint64_t) {
+        return ++leaves < 7;
+      },
       &stats);
-  EXPECT_EQ(count, 7u);
+  EXPECT_EQ(leaves, 7u);
   EXPECT_GT(stats.nodes_visited, 0u);
-  // A full traversal visits more nodes than the early-stopped one.
+  // A full traversal visits more nodes than the early-stopped one, and
+  // stats accumulate across walks.
   RTree::TraversalStats full;
-  tree.VisitWith(
-      Box::Of(0, 0, 1000, 1), [](const RTree::Entry&) { return true; }, &full);
+  QueryIds(tree, query, &full);
   EXPECT_GT(full.nodes_visited, stats.nodes_visited);
+  const size_t once = full.nodes_visited;
+  QueryIds(tree, query, &full);
+  EXPECT_EQ(full.nodes_visited, 2 * once);
+}
+
+// The FreezeTo stream of `tree`, read back byte by byte.
+std::string ArenaBytes(const RTree& tree) {
+  storage::MemoryStorageManager mem;
+  storage::BufferPool pool(&mem, 16);
+  storage::PageId head = storage::kInvalidPageId;
+  EXPECT_TRUE(tree.FreezeTo(&pool, &head).ok());
+  storage::PageChainReader reader(&pool, head);
+  std::string bytes;
+  char c = 0;
+  while (!reader.AtEnd() && reader.Read(&c, 1).ok()) bytes.push_back(c);
+  return bytes;
+}
+
+// Pins the arena BulkLoad lays out: the FreezeTo stream of seeded inputs,
+// spanning a lone leaf, a full leaf, the first two-level tree and a
+// three-level one, with entries of equal centres (ties the STR sorts
+// break by their own element order). The digests were taken from the
+// pointer-tree build this direct build replaced, so the two produce
+// byte-identical arenas — and therefore identical walks.
+TEST(RTreeTest, BulkLoadArenaLayoutIsGolden) {
+  const std::vector<std::pair<int, uint64_t>> golden = {
+      {1, 0x6743763992c81e34ull},
+      {16, 0x81699d7c0ad4fc34ull},
+      {17, 0x7b384f6d708ab002ull},
+      {5000, 0xb99e31d24c35b2c5ull}};
+  for (const auto& [n, digest] : golden) {
+    common::Rng rng(1000 + static_cast<uint64_t>(n));
+    std::vector<RTree::Entry> entries;
+    for (int i = 0; i < n; ++i) {
+      // Every third entry is centred on a shared lattice point, with
+      // differing extents, so sorts see equal centres at every level.
+      double x = rng.UniformDouble(0, 1000);
+      double y = rng.UniformDouble(0, 1000);
+      if (i % 3 == 0) {
+        x = std::floor(x / 250) * 250;
+        y = std::floor(y / 250) * 250;
+      }
+      const double r = rng.UniformDouble(0, 4);
+      entries.push_back({Box::Of(x - r, y - r, x + r, y + r), i});
+    }
+    const std::string bytes = ArenaBytes(RTree::BulkLoad(entries));
+    EXPECT_EQ(common::Fnv1a(bytes), digest)
+        << n << " entries: 0x" << std::hex << common::Fnv1a(bytes);
+  }
+}
+
+// The empty tree has an arena too: a header with zero nodes and entries,
+// which OpenFrozen reads back as an empty tree.
+TEST(RTreeTest, EmptyTreeRoundTripsThroughFreezeTo) {
+  storage::MemoryStorageManager mem;
+  storage::BufferPool pool(&mem, 4);
+  storage::PageId head = storage::kInvalidPageId;
+  ASSERT_TRUE(RTree::BulkLoad({}).FreezeTo(&pool, &head).ok());
+  auto opened = RTree::OpenFrozen(&pool, head);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->size(), 0u);
+  EXPECT_TRUE(QueryIds(*opened, Box::Of(0, 0, 1, 1)).empty());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -221,6 +222,18 @@ TEST(SimdPointEdgesDistanceTest, VariantsAgreeBitForBit) {
 
 // --- Frozen R-tree batched pruning ------------------------------------------
 
+// Sorted ids of `entries` whose box intersects `query`: the scalar,
+// index-free reference for the batched walk.
+std::vector<int64_t> BruteForceIds(
+    const std::vector<exearth::geo::RTree::Entry>& entries, const Box& query) {
+  std::vector<int64_t> ids;
+  for (const auto& e : entries) {
+    if (e.box.Intersects(query)) ids.push_back(e.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 TEST(SimdRTreeTest, FrozenBatchedTraversalMatchesPointerTree) {
   VariantGuard guard;
   Rng rng(424242);
@@ -228,45 +241,40 @@ TEST(SimdRTreeTest, FrozenBatchedTraversalMatchesPointerTree) {
     const size_t n = 1 + rng.Uniform(400);
     std::vector<exearth::geo::RTree::Entry> entries;
     entries.reserve(n);
-    exearth::geo::RTree pointer_tree;  // never frozen: unbatched baseline
     for (size_t i = 0; i < n; ++i) {
       const double x = rng.UniformDouble(0, 1000);
       const double y = rng.UniformDouble(0, 1000);
       const Box b = Box::Of(x, y, x + rng.UniformDouble(0, 30),
                             y + rng.UniformDouble(0, 30));
       entries.push_back({b, static_cast<int64_t>(i)});
-      pointer_tree.Insert(b, static_cast<int64_t>(i));
     }
-    exearth::geo::RTree frozen =
-        exearth::geo::RTree::BulkLoad(std::move(entries));
-    ASSERT_TRUE(frozen.frozen());
-    ASSERT_FALSE(pointer_tree.frozen());
+    const exearth::geo::RTree tree = exearth::geo::RTree::BulkLoad(entries);
     for (int q = 0; q < 32; ++q) {
       const double x = rng.UniformDouble(0, 1000);
       const double y = rng.UniformDouble(0, 1000);
       const Box query = Box::Of(x, y, x + rng.UniformDouble(0, 120),
                                 y + rng.UniformDouble(0, 120));
-      auto collect = [&](const exearth::geo::RTree& tree) {
-        std::vector<int64_t> ids;
-        tree.VisitWith(query, [&](const exearth::geo::RTree::Entry& e) {
-          ids.push_back(e.id);
-          return true;
-        });
-        std::sort(ids.begin(), ids.end());
-        return ids;
-      };
-      const std::vector<int64_t> baseline = collect(pointer_tree);
+      const std::vector<int64_t> baseline = BruteForceIds(entries, query);
       for (simd::KernelVariant v : AvailableVariants()) {
         ASSERT_TRUE(simd::SetVariant(v));
-        EXPECT_EQ(collect(frozen), baseline)
-            << "variant=" << simd::ActiveVariantName();
+        std::vector<int64_t> ids;
+        tree.VisitLeaves(&query, 1,
+                         [&](size_t, const exearth::geo::RTree::Entry* es,
+                             uint32_t, uint16_t, uint64_t hits) {
+                           for (; hits != 0; hits &= hits - 1) {
+                             ids.push_back(es[std::countr_zero(hits)].id);
+                           }
+                           return true;
+                         });
+        std::sort(ids.begin(), ids.end());
+        EXPECT_EQ(ids, baseline) << "variant=" << simd::ActiveVariantName();
       }
     }
   }
 }
 
-// The frozen traversal consumes the prune mask in ascending-child order,
-// so visit order, early exit, and node accounting are variant-invariant.
+// The walk consumes the prune mask in ascending-child order, so visit
+// order, early exit, and node accounting are variant-invariant.
 TEST(SimdRTreeTest, VisitOrderAndStatsAreVariantInvariant) {
   if (AvailableVariants().size() < 2) {
     GTEST_SKIP() << "only the scalar kernels are available here";
@@ -286,11 +294,15 @@ TEST(SimdRTreeTest, VisitOrderAndStatsAreVariantInvariant) {
     EXPECT_TRUE(simd::SetVariant(v));
     std::vector<int64_t> order;
     exearth::geo::RTree::TraversalStats stats;
-    tree.VisitWith(
-        query,
-        [&](const exearth::geo::RTree::Entry& e) {
-          order.push_back(e.id);
-          return order.size() < stop_after;  // exercise early exit too
+    tree.VisitLeaves(
+        &query, 1,
+        [&](size_t, const exearth::geo::RTree::Entry* es, uint32_t, uint16_t,
+            uint64_t hits) {
+          for (; hits != 0; hits &= hits - 1) {
+            order.push_back(es[std::countr_zero(hits)].id);
+            if (order.size() >= stop_after) return false;  // early exit
+          }
+          return true;
         },
         &stats);
     return std::make_pair(order, stats.nodes_visited);
@@ -303,10 +315,10 @@ TEST(SimdRTreeTest, VisitOrderAndStatsAreVariantInvariant) {
   }
 }
 
-// VisitLeavesWith is the batch-consumer face of the same traversal: set
-// bits consumed ascending must reproduce VisitWith's per-entry stream and
-// node accounting, the mask must agree with per-entry Box::Intersects,
-// and first/count must address the matching entry_envelopes() slice.
+// The leaf masks must agree with per-entry Box::Intersects, first/count
+// must address the matching entry_envelopes() slice, every intersecting
+// entry must be reported exactly once, and the entry stream and node
+// accounting must not depend on the kernel variant.
 TEST(SimdRTreeTest, LeafTraversalMatchesEntryTraversal) {
   VariantGuard guard;
   Rng rng(9191);
@@ -321,30 +333,22 @@ TEST(SimdRTreeTest, LeafTraversalMatchesEntryTraversal) {
                                  y + rng.UniformDouble(0, 40)),
                          static_cast<int64_t>(i)});
     }
-    exearth::geo::RTree tree =
-        exearth::geo::RTree::BulkLoad(std::move(entries));
+    const exearth::geo::RTree tree = exearth::geo::RTree::BulkLoad(entries);
     const simd::EnvelopeColumns& env = tree.entry_envelopes();
     for (int q = 0; q < 24; ++q) {
       const double x = rng.UniformDouble(0, 1000);
       const double y = rng.UniformDouble(0, 1000);
       const Box query = Box::Of(x, y, x + rng.UniformDouble(0, 150),
                                 y + rng.UniformDouble(0, 150));
+      std::vector<int64_t> first_ids;
+      size_t first_nodes = 0;
       for (simd::KernelVariant v : AvailableVariants()) {
         ASSERT_TRUE(simd::SetVariant(v));
-        std::vector<int64_t> flat_ids;
-        exearth::geo::RTree::TraversalStats flat_stats;
-        tree.VisitWith(
-            query,
-            [&](const exearth::geo::RTree::Entry& e) {
-              flat_ids.push_back(e.id);
-              return true;
-            },
-            &flat_stats);
         std::vector<int64_t> leaf_ids;
         exearth::geo::RTree::TraversalStats leaf_stats;
-        tree.VisitLeavesWith(
-            query,
-            [&](const exearth::geo::RTree::Entry* es, uint32_t first,
+        tree.VisitLeaves(
+            &query, 1,
+            [&](size_t, const exearth::geo::RTree::Entry* es, uint32_t first,
                 uint16_t count, uint64_t hits) {
               EXPECT_EQ(hits >> count, 0u);
               for (uint16_t i = 0; i < count; ++i) {
@@ -357,18 +361,25 @@ TEST(SimdRTreeTest, LeafTraversalMatchesEntryTraversal) {
               return true;
             },
             &leaf_stats);
-        EXPECT_EQ(leaf_ids, flat_ids)
+        std::vector<int64_t> sorted = leaf_ids;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, BruteForceIds(entries, query))
             << "variant=" << simd::ActiveVariantName();
-        EXPECT_EQ(leaf_stats.nodes_visited, flat_stats.nodes_visited);
+        if (v == AvailableVariants().front()) {
+          first_ids = leaf_ids;
+          first_nodes = leaf_stats.nodes_visited;
+        }
+        EXPECT_EQ(leaf_ids, first_ids);
+        EXPECT_EQ(leaf_stats.nodes_visited, first_nodes);
       }
     }
   }
 }
 
-// VisitLeavesMulti is one walk for up to 64 boxes: restricted to one
-// member it must make exactly the (leaf first, mask) calls, in the same
-// order, that VisitLeavesWith makes for that member's box alone, and it
-// must pop no more nodes than the single-box walks do together. Member
+// VisitLeaves is one walk for up to 64 boxes: restricted to one member
+// it must make exactly the (leaf first, mask) calls, in the same order,
+// that a one-member walk makes for that member's box alone, and it must
+// pop no more nodes than the one-member walks do together. Member
 // sets mix ordinary boxes with adversarial ones (inverted, zero-area,
 // infinite, NaN).
 TEST(SimdRTreeTest, MultiQueryLeafTraversalMatchesPerBoxTraversal) {
@@ -408,10 +419,10 @@ TEST(SimdRTreeTest, MultiQueryLeafTraversalMatchesPerBoxTraversal) {
         size_t solo_nodes = 0;
         for (size_t j = 0; j < members; ++j) {
           exearth::geo::RTree::TraversalStats s;
-          tree.VisitLeavesWith(
-              queries[j],
-              [&](const exearth::geo::RTree::Entry* es, uint32_t first,
-                  uint16_t, uint64_t hits) {
+          tree.VisitLeaves(
+              &queries[j], 1,
+              [&](size_t, const exearth::geo::RTree::Entry* es,
+                  uint32_t first, uint16_t, uint64_t hits) {
                 solo[j].emplace_back(es, first, hits);
                 return true;
               },
@@ -420,7 +431,7 @@ TEST(SimdRTreeTest, MultiQueryLeafTraversalMatchesPerBoxTraversal) {
         }
         std::vector<Calls> multi(members);
         exearth::geo::RTree::TraversalStats multi_stats;
-        tree.VisitLeavesMulti(
+        tree.VisitLeaves(
             queries.data(), queries.size(),
             [&](size_t member, const exearth::geo::RTree::Entry* es,
                 uint32_t first, uint16_t count, uint64_t hits) {

@@ -45,6 +45,8 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "dfs/hopsfs.h"
+#include "geo/geometry.h"
+#include "geo/rtree.h"
 #include "geo/simd.h"
 #include "kv/kvstore.h"
 #include "storage/buffer_pool.h"
@@ -1094,6 +1096,151 @@ TEST_F(StorageRecoveryTest, FrozenRTreeMatchesMemoryUnderSmallPool) {
   EXPECT_GT(pool.stats().evictions, 0u)
       << "the small pool should have thrashed while paging the index";
   ASSERT_TRUE(pool.CheckInvariants().ok());
+}
+
+// --- Frozen R-tree: hostile page chains --------------------------------------
+//
+// Hand-written chains in the FreezeTo stream format. Each is consistent
+// enough to pass the header and range checks of a naive reader, yet would
+// send a walk (or a recursive rebuild) out of bounds or into a cycle.
+// OpenFrozen must refuse every one with IOError.
+
+struct HostileNode {
+  uint32_t first = 0;
+  uint16_t count = 0;
+  bool leaf = false;
+};
+
+// Writes a frozen-tree stream: header (magic, version, `size`, node and
+// entry counts), then `nodes` (all with the unit box) and `ids` (entries
+// with the unit box). Returns the chain head.
+PageId WriteHostileTree(BufferPool* pool, uint64_t size,
+                        const std::vector<HostileNode>& nodes,
+                        const std::vector<int64_t>& ids) {
+  storage::PageChainWriter w(pool, /*lsn=*/0);
+  auto box = [&] {
+    for (double v : {0.0, 0.0, 1.0, 1.0}) EXPECT_TRUE(w.WriteF64(v).ok());
+  };
+  EXPECT_TRUE(w.WriteU64(0x3145525452414545ull).ok());  // "EEARTRE1"
+  EXPECT_TRUE(w.WriteU32(1).ok());
+  EXPECT_TRUE(w.WriteU64(size).ok());
+  EXPECT_TRUE(w.WriteU64(nodes.size()).ok());
+  EXPECT_TRUE(w.WriteU64(ids.size()).ok());
+  for (const HostileNode& n : nodes) {
+    box();
+    EXPECT_TRUE(w.WriteU32(n.first).ok());
+    EXPECT_TRUE(
+        w.WriteU32(n.count | (static_cast<uint32_t>(n.leaf ? 1 : 0) << 16))
+            .ok());
+  }
+  for (int64_t id : ids) {
+    box();
+    EXPECT_TRUE(w.WriteU64(static_cast<uint64_t>(id)).ok());
+  }
+  auto head = w.Finish();
+  EXPECT_TRUE(head.ok()) << head.status().ToString();
+  return head.ok() ? head.value() : storage::kInvalidPageId;
+}
+
+std::vector<int64_t> Iota(int64_t n) {
+  std::vector<int64_t> ids(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = i;
+  return ids;
+}
+
+void ExpectRejected(const std::vector<HostileNode>& nodes,
+                    const std::vector<int64_t>& ids, uint64_t size,
+                    const char* what) {
+  MemoryStorageManager mem;
+  BufferPool pool(&mem, 8);
+  const PageId head = WriteHostileTree(&pool, size, nodes, ids);
+  auto opened = geo::RTree::OpenFrozen(&pool, head);
+  ASSERT_FALSE(opened.ok()) << what << ": hostile tree accepted";
+  EXPECT_EQ(opened.status().code(), common::StatusCode::kIOError)
+      << what << ": " << opened.status().ToString();
+}
+
+TEST_F(StorageRecoveryTest, FrozenRTreeRejectsSelfAndBackReferences) {
+  // Node 0 internal with itself as its only child: in bounds, but a cycle.
+  ExpectRejected({{0, 1, false}}, {}, 0, "self child");
+  // Nodes 0 and 1 each the other's child.
+  ExpectRejected({{1, 1, false}, {0, 1, false}}, {}, 0, "two-node cycle");
+  // Node 1 claims node 1 (itself) after the root claimed it.
+  ExpectRejected({{1, 1, false}, {1, 1, false}}, {}, 0, "self after root");
+  // Two internal nodes sharing one child range (a DAG, not a tree).
+  ExpectRejected({{1, 2, false}, {3, 1, false}, {3, 1, false}, {0, 2, true}},
+                 Iota(2), 2, "shared child range");
+}
+
+TEST_F(StorageRecoveryTest, FrozenRTreeRejectsOverwideNodes) {
+  // A root leaf with 17 entries: masks hold kMaxEntries bits per node.
+  ExpectRejected({{0, 17, true}}, Iota(17), 17, "17-entry leaf");
+  // A root with 17 leaf children overruns the walk's per-child masks.
+  std::vector<HostileNode> nodes = {{1, 17, false}};
+  for (uint32_t c = 0; c < 17; ++c) nodes.push_back({c, 1, true});
+  ExpectRejected(nodes, Iota(17), 17, "17-child root");
+}
+
+TEST_F(StorageRecoveryTest, FrozenRTreeRejectsTreesDeeperThanTheWalkStack) {
+  // A chain of single-child internal nodes ending in a one-entry leaf,
+  // one level deeper than the walk's fixed stack is sized for.
+  std::vector<HostileNode> nodes;
+  for (uint32_t d = 0; d < geo::RTree::kMaxDepth; ++d) {
+    nodes.push_back({d + 1, 1, false});
+  }
+  nodes.push_back({0, 1, true});
+  ExpectRejected(nodes, Iota(1), 1, "too deep");
+  // One level less is a legal (if degenerate) tree.
+  nodes.erase(nodes.begin());
+  for (uint32_t i = 0; i + 1 < nodes.size(); ++i) nodes[i].first = i + 1;
+  MemoryStorageManager mem;
+  BufferPool pool(&mem, 8);
+  const PageId head = WriteHostileTree(&pool, 1, nodes, Iota(1));
+  auto opened = geo::RTree::OpenFrozen(&pool, head);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->size(), 1u);
+}
+
+TEST_F(StorageRecoveryTest, FrozenRTreeRejectsSizeAndCountDisagreements) {
+  ExpectRejected({{0, 2, true}}, Iota(2), 3, "header size above entries");
+  ExpectRejected({{0, 2, true}}, Iota(2), 1, "header size below entries");
+  // Entries no leaf claims.
+  ExpectRejected({{0, 1, true}}, Iota(2), 2, "unclaimed entry");
+  ExpectRejected({}, Iota(1), 1, "entries without nodes");
+  // A node no internal node claims.
+  ExpectRejected({{0, 1, true}, {1, 1, true}}, Iota(2), 2, "orphan node");
+}
+
+TEST_F(StorageRecoveryTest, LoadFrozenIndexRejectsIdsOutsideTheArena) {
+  strabon::GeoStore store;
+  for (int i = 0; i < 3; ++i) {
+    store.AddFeature(StrFormat("http://x/f%d", i),
+                     geo::Geometry(geo::Point{0.5, 0.5}));
+  }
+  ASSERT_TRUE(store.Build().ok());
+  const std::vector<std::pair<std::vector<int64_t>, const char*>> cases = {
+      {{0, 1, 3}, "id == arena size"},
+      {{0, -1, 2}, "negative id"},
+      {{0, 1, int64_t{1} << 31}, "id colliding with the fast-path bit"},
+  };
+  for (const auto& [ids, what] : cases) {
+    MemoryStorageManager mem;
+    BufferPool pool(&mem, 8);
+    const PageId head = WriteHostileTree(&pool, 3, {{0, 3, true}}, ids);
+    const Status loaded = store.LoadFrozenIndex(&pool, head);
+    EXPECT_FALSE(loaded.ok()) << what << ": out-of-arena id accepted";
+    EXPECT_EQ(loaded.code(), common::StatusCode::kIOError) << what;
+  }
+  // The same layout with in-arena ids loads and answers queries.
+  MemoryStorageManager mem;
+  BufferPool pool(&mem, 8);
+  const PageId head = WriteHostileTree(&pool, 3, {{0, 3, true}}, Iota(3));
+  ASSERT_TRUE(store.LoadFrozenIndex(&pool, head).ok());
+  auto hits = store.SpatialSelect(geo::Box::Of(0, 0, 1, 1),
+                                  strabon::SpatialRelation::kIntersects,
+                                  /*use_index=*/true);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(hits->size(), 3u);
 }
 
 // --- HopsFS on the durable store ----------------------------------------------
